@@ -1,8 +1,9 @@
 // Command epscaled serves the experiment pipeline over HTTP:
 // sweep-as-a-service. POST /v1/sweep streams a sweep's cell records
-// as NDJSON while it executes (identical concurrent requests attach
-// to one execution); GET /v1/result/{fingerprint} replays a stored
-// sweep byte-identically; GET /v1/status and /debug/vars expose the
+// as NDJSON out of the store journal as they are journaled (identical
+// concurrent requests attach to one execution); GET
+// /v1/result/{fingerprint} replays a stored sweep byte-identically,
+// waiting out one still executing; GET /v1/status and /debug/vars expose the
 // service and pipeline telemetry. See internal/serve.
 //
 // Usage:

@@ -130,7 +130,7 @@ func TestCrashEveryPointRecoversByteIdentical(t *testing.T) {
 			// the dead PID or the TTL frees it — in-process, the PID is
 			// alive, so model expiry by removing it.
 			ffs.Reboot()
-			_ = ffs.Remove(dir + "/" + fp + storeExt + ".lease")
+			_ = ffs.Remove(dir + "/" + fp + store.Ext + ".lease")
 
 			rec, err := New(Config{StoreDir: dir, FS: ffs, Parallelism: 1, ReplicaID: "recoverer"})
 			if err != nil {

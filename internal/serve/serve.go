@@ -12,35 +12,52 @@
 // Endpoints:
 //
 //	POST /v1/sweep        a workload.Config subset (see SweepRequest)
-//	                      → NDJSON stream of cell records as they
-//	                      finish, then one trailer object. Requests
+//	                      → NDJSON stream of cell records as they are
+//	                      journaled, then one trailer object. Requests
 //	                      with equal fingerprints attach to one
 //	                      in-flight execution (single-flight): each
 //	                      cell is executed at most once no matter how
-//	                      many clients ask for it. When a request
-//	                      attaches to a sweep already under way, the
-//	                      already-known cells are flushed immediately,
-//	                      Predicted cells first (they are the cheap,
-//	                      model-answered majority of a guided sweep).
-//	                      With ?from=N (or a Last-Cell: N header) the
-//	                      stream is journal-backed instead: record
-//	                      lines are tailed straight out of the store
-//	                      journal starting at record index N, and the
-//	                      trailer's "next_from" is an exact resume
-//	                      token — a client cut off mid-stream re-POSTs
-//	                      with ?from=<next_from> and receives each
+//	                      many clients ask for it, and a request whose
+//	                      stored journal already holds every cell
+//	                      starts no execution at all. Every stream is
+//	                      read out of the store journal, so record
+//	                      lines arrive in journal order (a guided
+//	                      sweep's predictions after its measured
+//	                      cells) and the trailer's "next_from" is an
+//	                      exact resume token: a client cut off
+//	                      mid-stream re-POSTs with ?from=<next_from>
+//	                      (or a Last-Cell: N header) and receives each
 //	                      record exactly once, even across a replica
-//	                      death.
-//	GET  /v1/result/{fp}  replay a completed sweep's records from the
-//	                      persistent store, byte-identical to the
-//	                      lines streamed while it ran. ?from=N skips
-//	                      the first N records (X-Next-From carries the
-//	                      full count).
+//	                      death. A cell the store could not journal is
+//	                      not streamed: the trailer then says
+//	                      "complete":false, "resumable":true.
+//	GET  /v1/result/{fp}  replay a sweep's records from the persistent
+//	                      store, byte-identical to the lines its POST
+//	                      streamed. A GET of a sweep this replica is
+//	                      executing waits for it to end first. ?from=N
+//	                      skips the first N records; X-Next-From
+//	                      carries the stored record count.
 //	GET  /v1/status       service snapshot (uptime, replica ID,
 //	                      in-flight sweeps, stored results, dedup and
 //	                      recovery counters).
 //	GET  /debug/vars      the expvar registry, including every obs.*
 //	                      pipeline metric.
+//
+// Invariants, each pinned by a test that needs no timing luck:
+//
+//	"complete":true trailer ⇒ the sweep    TestCompleteTrailerImpliesStored
+//	is not active here, and GET answers
+//	200 with the streamed records (an
+//	executor releases its lease and
+//	unregisters before it wakes streams)
+//	"next_from" is exact on every trailer: TestResumeTokenExactContinuation,
+//	the journal index after the last       TestFollowerStreamsLeaseholderSweep
+//	record the stream sent
+//	each stream is in journal order from   TestResumeTokenExactContinuation,
+//	its start index, no record repeated    TestFollowerStreamsLeaseholderSweep
+//	at most one executing replica per      store: TestAcquireLeaseExclusive,
+//	lease epoch; a stolen lease fences     TestZombieJournalAppendFenced
+//	the old holder's appends
 //
 // Multi-replica operation: any number of servers may share one store
 // directory. Each sweep journal is claimed by an on-disk lease (owner
@@ -93,7 +110,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -154,7 +171,7 @@ const (
 // before exit.
 type Server struct {
 	cfg   Config
-	store *Store
+	store *store.Store
 	fsys  store.FS
 	cache *workload.RunCache
 	start time.Time
@@ -184,6 +201,7 @@ var (
 	mTakeovers   = obs.GetCounter("serve.sweeps.takeovers")
 	mSalvaged    = obs.GetCounter("serve.journals.salvaged")
 	mReplayed    = obs.GetCounter("serve.results.replayed")
+	mWaited      = obs.GetCounter("serve.results.waited")
 	mShedQuota   = obs.GetCounter("serve.shed.quota")
 	mShedBusy    = obs.GetCounter("serve.shed.backpressure")
 	mCellsSent   = obs.GetCounter("serve.cells.streamed")
@@ -214,14 +232,17 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.ReplicaID = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	st, err := OpenStore(cfg.StoreDir, cfg.FS)
+	if cfg.StoreDir == "" {
+		return nil, errors.New("serve: empty store directory")
+	}
+	st, err := store.Open(cfg.StoreDir, cfg.FS)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: creating store: %w", err)
 	}
 	return &Server{
 		cfg:     cfg,
 		store:   st,
-		fsys:    store.Resolve(cfg.FS),
+		fsys:    st.FS(),
 		cache:   workload.NewRunCache(cfg.CacheCap),
 		start:   time.Now(),
 		sweeps:  make(map[string]*sweepState),
@@ -255,14 +276,16 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 	// Union of journals and request sidecars: a crash between the
 	// sidecar save and the journal's first rename leaves a sidecar with
 	// no journal, and that sweep restarts from scratch.
-	seen := make(map[string]bool)
-	var fps []string
-	for _, fp := range s.store.Fingerprints() {
-		seen[fp] = true
-		fps = append(fps, fp)
+	fps, err := s.store.Fingerprints()
+	if err != nil {
+		logf("recover: listing journals: %v", err)
 	}
-	for _, fp := range s.store.RequestFingerprints() {
-		if !seen[fp] {
+	reqs, err := s.store.RequestFingerprints()
+	if err != nil {
+		logf("recover: listing request sidecars: %v", err)
+	}
+	for _, fp := range reqs {
+		if !slices.Contains(fps, fp) {
 			fps = append(fps, fp)
 		}
 	}
@@ -289,12 +312,10 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 			logf("recover %s: request sidecar does not reproduce the fingerprint; skipping", fp)
 			continue
 		}
-		snap, err := workload.SnapshotJournal(s.fsys, s.store.Path(fp))
-		if err != nil {
-			logf("recover %s: %v", fp, err)
-			continue
-		}
-		if snap.Unique >= cfg.CellCount() {
+		tail := s.tail(fp)
+		stored := tail.stored(cfg.CellCount())
+		tail.close()
+		if stored {
 			continue // complete: replayable, nothing to resume
 		}
 		if info, live := store.ReadLeaseInfo(s.fsys, s.store.LeasePath(fp), time.Now()); live {
@@ -306,7 +327,7 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 		} else if !attached {
 			resumed++
 			mRecovered.Inc()
-			logf("recover %s: resuming (%d/%d cells stored)", fp, snap.Unique, cfg.CellCount())
+			logf("recover %s: resuming (%d/%d cells stored)", fp, len(tail.keys), cfg.CellCount())
 		}
 	}
 	return resumed, salvaged
@@ -340,7 +361,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	// cut the streams loose with a resumable trailer.
 	s.stopSweeps.Store(true)
 	for _, st := range states {
-		st.finishResumable("server draining; completed cells are stored — resume with ?from=")
+		st.finish("server draining; completed cells are stored — resume with ?from=", true)
 	}
 	grace := timeout / 2
 	if grace > 2*time.Second {
@@ -401,27 +422,28 @@ func (s *Server) release(client string) {
 }
 
 // resumeToken parses the cell-granularity resume token: ?from=N query
-// parameter, else a Last-Cell: N header. N is the number of record
-// lines the client already holds (equivalently: the next record index
-// it wants) — exactly the "next_from" a journal-backed trailer
-// carries.
-func resumeToken(r *http.Request) (from int, ok bool, err error) {
+// parameter, else a Last-Cell: N header, else 0. N is the number of
+// record lines the client already holds (equivalently: the next record
+// index it wants) — exactly the "next_from" every trailer carries.
+func resumeToken(r *http.Request) (int, error) {
 	v := r.URL.Query().Get("from")
 	if v == "" {
 		v = r.Header.Get("Last-Cell")
 	}
 	if v == "" {
-		return 0, false, nil
+		return 0, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("bad resume token %q (want a non-negative record index)", v)
+		return 0, fmt.Errorf("bad resume token %q (want a non-negative record index)", v)
 	}
-	return n, true, nil
+	return n, nil
 }
 
-// handleSweep executes (or attaches to, or follows) a sweep and
-// streams its cell records as NDJSON.
+// handleSweep streams a sweep's cell records as NDJSON, first making
+// sure somebody executes it: this replica (starting or attaching to
+// the execution) or the replica holding its lease. A sweep whose
+// journal already holds every cell is streamed from the store.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { mReqSeconds.Observe(time.Since(t0).Seconds()) }()
@@ -450,58 +472,51 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := cfg.Fingerprint()
-	from, hasFrom, err := resumeToken(r)
+	from, err := resumeToken(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
-	if hasFrom {
-		// Journal-backed stream: exact resume tokens, served whether
-		// this replica executes the sweep, follows another replica's
-		// journal, or replays a finished one. Make sure somebody is
-		// executing it if it is incomplete.
-		_, _, err := s.startOrAttach(fp, cfg, body)
-		if err != nil && !errors.Is(err, store.ErrLeaseHeld) && !s.store.Has(fp) {
+	tail := s.tail(fp)
+	defer tail.close()
+	var st *sweepState
+	if !tail.stored(cfg.CellCount()) {
+		var attached bool
+		st, attached, err = s.startOrAttach(fp, cfg, body)
+		var held *store.HeldError
+		switch {
+		case errors.As(err, &held):
+			// Another replica is executing this sweep: follow its
+			// journal read-only, streaming cells as they land.
+			mFollowed.Inc()
+			w.Header().Set("X-Sweep-Leaseholder", held.Info.Owner)
+		case err != nil:
 			mShedBusy.Inc()
 			w.Header().Set("Retry-After", "5")
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 			return
+		case attached:
+			mAttached.Inc()
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Sweep-Fingerprint", fp)
-		w.WriteHeader(http.StatusOK)
-		s.streamJournal(r.Context(), w, fp, cfg, from)
-		return
 	}
-
-	st, attached, err := s.startOrAttach(fp, cfg, body)
-	if err != nil {
-		var held *store.HeldError
-		if errors.As(err, &held) {
-			// Another replica is executing this sweep: follow its
-			// journal read-only, streaming cells as they land.
-			mFollowed.Inc()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Sweep-Fingerprint", fp)
-			w.Header().Set("X-Sweep-Leaseholder", held.Info.Owner)
-			w.WriteHeader(http.StatusOK)
-			s.streamJournal(r.Context(), w, fp, cfg, 0)
-			return
-		}
-		mShedBusy.Inc()
-		w.Header().Set("Retry-After", "5")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	}
-	if attached {
-		mAttached.Inc()
-	}
-
+	tail.reopen()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Fingerprint", fp)
 	w.WriteHeader(http.StatusOK)
-	st.stream(r.Context(), w)
+	s.streamJournal(r.Context(), w, tail, cfg, from, st)
+}
+
+// tail returns a reader of fp's store journal.
+func (s *Server) tail(fp string) *journalTail {
+	return newJournalTail(s.fsys, s.store.Path(fp), fp)
+}
+
+// sweep returns the state of fp's execution on this replica, if any.
+func (s *Server) sweep(fp string) *sweepState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sweeps[fp]
 }
 
 // startOrAttach returns the in-flight sweep state for fp, launching
@@ -523,7 +538,7 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 	}
 	// Reserve the slot and publish the state before the lease I/O, so
 	// concurrent identical requests attach instead of racing the claim.
-	st := newSweepState(fp, cfg.CellCount())
+	st := newSweepState(fp)
 	s.sweeps[fp] = st
 	s.active++
 	s.mu.Unlock()
@@ -531,14 +546,10 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 
 	lease, err := store.AcquireLease(s.fsys, s.store.LeasePath(fp), s.cfg.ReplicaID, s.cfg.LeaseTTL, nil)
 	if err != nil {
-		s.mu.Lock()
-		delete(s.sweeps, fp)
-		s.active--
-		s.mu.Unlock()
-		mActive.Add(-1)
+		s.unregister(fp)
 		// Anyone who attached to the placeholder in the window gets a
 		// resumable trailer pointing at the follower path.
-		st.finishResumable("sweep not started here: " + err.Error() + " — re-POST to follow the holder's journal")
+		st.finish("sweep not started here: "+err.Error()+" — re-POST to follow the holder's journal", true)
 		return nil, false, err
 	}
 	if len(body) > 0 {
@@ -554,17 +565,41 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 	return st, false, nil
 }
 
-// runSweep executes one sweep, feeding completed cells into the state
-// (and, via the checkpoint journal, the persistent store) as they
-// finish.
+// unregister drops fp's in-flight state and frees its executor slot.
+func (s *Server) unregister(fp string) {
+	s.mu.Lock()
+	delete(s.sweeps, fp)
+	s.active--
+	s.mu.Unlock()
+	mActive.Add(-1)
+}
+
+// runSweep executes one sweep into the store journal, waking the
+// sweep's streams as each cell is journaled.
 func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Lease) {
 	defer s.wg.Done()
+	cfg.CheckpointPath = s.store.Path(st.fp)
+	cfg.FS = s.cfg.FS
+	cfg.Lease = lease
+	cfg.LeaseOwner = s.cfg.ReplicaID
+	cfg.Stop = func() bool { return s.stopSweeps.Load() }
+	cfg.Cache = s.cache
+	cfg.Parallelism = s.cfg.Parallelism
+	// The checkpoint journals a cell before OnRun reports it, so a
+	// stream woken here finds the record on disk.
+	cfg.OnRun = func(string, *workload.Run) { st.wake() }
+
+	// Release and unregister before waking the streams, on every path:
+	// a client that reads a complete trailer then finds the sweep
+	// stored, not active.
+	var errMsg string
+	resumable := false
 	defer func() {
-		// The release itself can panic under the fault filesystem's
-		// simulated power loss (in production the process would be dead
-		// here anyway); contain it so the in-memory bookkeeping below
-		// still runs.
 		func() {
+			// The release itself can panic under the fault filesystem's
+			// simulated power loss (in production the process would be
+			// dead here anyway); contain it so the bookkeeping below
+			// still runs.
 			defer func() {
 				if p := recover(); p != nil {
 					fmt.Fprintf(os.Stderr, "serve: releasing lease for %s: %v\n", st.fp, p)
@@ -574,28 +609,9 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 				fmt.Fprintf(os.Stderr, "serve: releasing lease for %s: %v\n", st.fp, err)
 			}
 		}()
-		s.mu.Lock()
-		delete(s.sweeps, st.fp)
-		s.active--
-		s.mu.Unlock()
-		mActive.Add(-1)
+		s.unregister(st.fp)
+		st.finish(errMsg, resumable)
 	}()
-
-	cfg.CheckpointPath = s.store.Path(st.fp)
-	cfg.FS = s.cfg.FS
-	cfg.Lease = lease
-	cfg.LeaseOwner = s.cfg.ReplicaID
-	cfg.Stop = func() bool { return s.stopSweeps.Load() }
-	cfg.Cache = s.cache
-	cfg.Parallelism = s.cfg.Parallelism
-	cfg.OnRun = func(key string, r *workload.Run) {
-		line, err := workload.MarshalRunRecord(key, r)
-		if err != nil {
-			return
-		}
-		mCellsSent.Inc()
-		st.append(line, r.Predicted)
-	}
 
 	var mx *workload.Matrix
 	err := func() (err error) {
@@ -610,7 +626,7 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 	switch {
 	case err != nil:
 		mFailed.Inc()
-		st.finish(err.Error())
+		errMsg = err.Error()
 	case len(mx.InterruptedRuns()) > 0:
 		// Drain deadline or lost lease: the sweep stopped at a cell
 		// boundary with everything completed safely journaled.
@@ -619,86 +635,107 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 		if lease.Lost() {
 			reason = "journal lease lost to another replica"
 		}
-		st.finishResumable(fmt.Sprintf("sweep interrupted (%s): %d of %d cells not executed; completed cells are stored — resume with ?from=",
-			reason, len(mx.InterruptedRuns()), st.cells))
+		errMsg = fmt.Sprintf("sweep interrupted (%s): %d of %d cells not executed; completed cells are stored — resume with ?from=",
+			reason, len(mx.InterruptedRuns()), cfg.CellCount())
+		resumable = true
 	default:
 		mCompleted.Inc()
-		st.finish("")
 	}
 }
 
-// streamJournal streams record lines straight out of the store journal
-// for fp, starting at record index from — the journal-backed stream
-// whose indexes are exact resume tokens. It serves three cases with
-// one loop: tailing a journal this replica is executing, following one
-// another replica holds the lease on, and replaying a finished one.
-// While the sweep is incomplete and nobody holds the lease, it
-// triggers a takeover so the stream makes progress past a dead
-// replica.
-func (s *Server) streamJournal(ctx context.Context, w io.Writer, fp string, cfg workload.Config, from int) {
+// streamJournal is the one writer of record lines to a sweep stream.
+// It tails fp's store journal from record index from, then writes the
+// trailer. While this replica executes the sweep (st, or a takeover
+// the loop starts) it reads after each wake-up of the executor;
+// otherwise it follows the journal every FollowPoll, and takes the
+// sweep over when it is incomplete and nobody holds its lease.
+func (s *Server) streamJournal(ctx context.Context, w io.Writer, tail *journalTail, cfg workload.Config, from int, st *sweepState) {
 	flush := func() {}
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	path := s.store.Path(fp)
-	cells := cfg.CellCount()
-	next, streamed := from, 0
+	fp, cells := tail.fp, cfg.CellCount()
+	next, streamed, seq := from, 0, 0
 	complete, resumable := false, true
 	var errMsg string
 
-loop:
 	for {
-		snap, err := workload.SnapshotJournal(s.fsys, path)
+		done := false
+		if st != nil {
+			var ok bool
+			if seq, done, ok = st.wait(ctx, seq); !ok {
+				return
+			}
+		}
+		recs, err := tail.lines()
 		if err != nil {
 			errMsg = "journal read: " + err.Error()
 			break
 		}
-		if snap.Fingerprint != "" && snap.Fingerprint != fp {
-			errMsg = "stored journal belongs to a different configuration"
-			resumable = false
+		first := tail.n - len(recs)
+		if next > tail.n {
+			errMsg = fmt.Sprintf("resume token %d beyond the journal (%d records; it may have been salvaged) — restart from 0", next, tail.n)
 			break
 		}
-		if next > len(snap.Records) {
-			errMsg = fmt.Sprintf("resume token %d beyond the journal (%d records; it may have been salvaged) — restart from 0", next, len(snap.Records))
-			break
-		}
-		wrote := false
-		for ; next < len(snap.Records); next++ {
-			if _, err := fmt.Fprintf(w, "%s\n", snap.Records[next]); err != nil {
+		fresh := recs[next-first:]
+		for _, rec := range fresh {
+			if _, err := w.Write(rec); err != nil {
 				return // client gone; nothing more to say
 			}
+			next++
 			streamed++
 			mCellsSent.Inc()
-			wrote = true
 		}
-		if wrote {
+		if len(fresh) > 0 {
 			flush()
 		}
-		if snap.Unique >= cells && cells > 0 {
-			complete, resumable = true, false
+		if st == nil {
+			if st = s.sweep(fp); st != nil {
+				// This replica executes it now: read after its wake-ups.
+				seq = 0
+				tail.reopen()
+				continue
+			}
+		}
+		// A local execution is reported complete only once it is done:
+		// finish comes after the executor unregistered, so a client
+		// acting on the trailer finds the sweep stored.
+		if tail.complete(cells) && (st == nil || done) {
+			complete = true
 			break
 		}
-		select {
-		case <-ctx.Done():
+		if done {
+			errMsg, resumable = st.errMsg, st.resumable
+			if errMsg == "" {
+				errMsg = fmt.Sprintf("sweep ended with %d of %d cells journaled; re-POST to execute the rest", len(tail.keys), cells)
+				resumable = true
+			}
+			break
+		}
+		if st != nil {
+			continue
+		}
+		if ctx.Err() != nil {
 			return
-		default:
 		}
 		s.mu.Lock()
-		_, inflight := s.sweeps[fp]
 		draining := s.draining
 		s.mu.Unlock()
-		if draining && !inflight {
+		if draining {
 			errMsg = "server draining; resume against another replica"
 			break
 		}
-		if !inflight {
-			// Incomplete, and this replica is not executing it: take
-			// over if the lease is free (the holder died), otherwise
-			// keep following the holder's appends.
-			if _, live := store.ReadLeaseInfo(s.fsys, s.store.LeasePath(fp), time.Now()); !live {
-				if _, attached, err := s.startOrAttach(fp, cfg, nil); err == nil && !attached {
+		// Incomplete, and this replica is not executing it: take over
+		// if the lease is free (the holder died), otherwise keep
+		// following the holder's appends.
+		if _, live := store.ReadLeaseInfo(s.fsys, s.store.LeasePath(fp), time.Now()); !live {
+			if taken, attached, err := s.startOrAttach(fp, cfg, nil); err == nil {
+				if !attached {
 					mTakeovers.Inc()
 				}
+				st, seq = taken, 0
+				tail.reopen()
+				continue
 			}
 		}
 		t := time.NewTimer(s.cfg.FollowPoll)
@@ -708,7 +745,7 @@ loop:
 			return
 		case <-t.C:
 		}
-		continue loop
+		tail.reopen()
 	}
 	tr := trailer{
 		Done:        true,
@@ -727,10 +764,10 @@ loop:
 	flush()
 }
 
-// handleResult replays a completed sweep's journal from the store,
-// byte-identical across replays (and to the record lines streamed by
-// the POST that produced it). ?from=N skips the first N records;
-// X-Next-From carries the stored record count either way.
+// handleResult replays a sweep's journal from the store, byte-identical
+// across replays and to the record lines its POST streamed. A sweep
+// this replica is executing is waited out first. ?from=N skips the
+// first N records; X-Next-From carries the stored record count.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { mReqSeconds.Observe(time.Since(t0).Seconds()) }()
@@ -741,55 +778,45 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	defer s.release(client)
 
 	fp := r.PathValue("fp")
-	if !validFingerprint(fp) {
+	if !store.ValidFingerprint(fp) {
 		http.Error(w, "malformed fingerprint", http.StatusBadRequest)
 		return
 	}
-	from, hasFrom, err := resumeToken(r)
+	from, err := resumeToken(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	_, inflight := s.sweeps[fp]
-	s.mu.Unlock()
-	if inflight {
-		// The journal is being appended to; a partial replay would not
-		// be byte-stable. Clients stream the POST instead.
-		w.Header().Set("Retry-After", "5")
-		http.Error(w, "sweep still executing; POST /v1/sweep to stream it", http.StatusConflict)
-		return
+	if st := s.sweep(fp); st != nil {
+		mWaited.Inc()
+		for seq, done := 0, false; !done; {
+			if seq, done, ok = st.wait(r.Context(), seq); !ok {
+				return
+			}
+		}
 	}
 	if !s.store.Has(fp) {
 		http.Error(w, "no stored result for fingerprint "+fp, http.StatusNotFound)
 		return
 	}
-	if hasFrom {
-		snap, err := workload.SnapshotJournal(s.fsys, s.store.Path(fp))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if from > len(snap.Records) {
-			http.Error(w, fmt.Sprintf("resume token %d beyond the %d stored records", from, len(snap.Records)),
-				http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Next-From", strconv.Itoa(len(snap.Records)))
-		for _, line := range snap.Records[from:] {
-			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-				return
-			}
-		}
-		mReplayed.Inc()
+	tail := s.tail(fp)
+	defer tail.close()
+	recs, err := tail.lines()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if from > len(recs) {
+		http.Error(w, fmt.Sprintf("resume token %d beyond the %d stored records", from, len(recs)),
+			http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	n, err := s.store.Replay(fp, w)
-	if err != nil && n == 0 {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	w.Header().Set("X-Next-From", strconv.Itoa(len(recs)))
+	for _, rec := range recs[from:] {
+		if _, err := w.Write(rec); err != nil {
+			return
+		}
 	}
 	mReplayed.Inc()
 }
@@ -821,13 +848,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	active, draining := s.active, s.draining
 	s.mu.Unlock()
+	stored, _ := s.store.Fingerprints()
 	doc := statusJSON{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		ReplicaID:        s.cfg.ReplicaID,
 		Draining:         draining,
 		ActiveSweeps:     active,
 		OpenRequests:     mOpenReqs.Value(),
-		StoredResults:    len(s.store.Fingerprints()),
+		StoredResults:    len(stored),
 		SweepsStarted:    mStarted.Value(),
 		SweepsAttached:   mAttached.Value(),
 		SweepsCompleted:  mCompleted.Value(),
@@ -848,77 +876,69 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepState is one in-flight (or draining) sweep's fan-out buffer:
-// record lines accumulate in completion order and every subscriber
-// streams them at its own pace.
+// sweepState is the wake-up notifier of a sweep this replica executes:
+// the executor bumps seq as each cell is journaled and sets done once
+// it has stopped, and the sweep's streams wait on it between reads of
+// the journal.
 type sweepState struct {
-	fp    string
-	cells int
+	fp string
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	lines     []recLine
-	done      bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	seq  int
+	done bool
+	// errMsg and resumable are set with done and never change after,
+	// so a waiter that has seen done reads them without the lock.
 	errMsg    string
 	resumable bool
 }
 
-type recLine struct {
-	data      []byte
-	predicted bool
-}
-
-func newSweepState(fp string, cells int) *sweepState {
-	st := &sweepState{fp: fp, cells: cells}
+func newSweepState(fp string) *sweepState {
+	st := &sweepState{fp: fp}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
 
-// append publishes one completed cell's record line to every
-// subscriber.
-func (st *sweepState) append(line []byte, predicted bool) {
+// wake reports one more journaled cell.
+func (st *sweepState) wake() {
+	st.mu.Lock()
+	st.seq++
+	st.mu.Unlock()
+	st.cond.Broadcast()
+}
+
+// finish marks the sweep stopped (errMsg "" on success; resumable when
+// a re-POST will pick up where it stopped). The first call wins.
+func (st *sweepState) finish(errMsg string, resumable bool) {
 	st.mu.Lock()
 	if !st.done {
-		st.lines = append(st.lines, recLine{data: line, predicted: predicted})
+		st.done, st.errMsg, st.resumable = true, errMsg, resumable
 	}
 	st.mu.Unlock()
 	st.cond.Broadcast()
 }
 
-// finish marks the sweep complete (errMsg "" on success). Idempotent;
-// the first call wins.
-func (st *sweepState) finish(errMsg string) {
+// wait blocks until the sweep has moved past seq or stopped, returning
+// the new seq and whether it stopped; ok is false when ctx ended first.
+func (st *sweepState) wait(ctx context.Context, seq int) (next int, done, ok bool) {
+	stop := context.AfterFunc(ctx, func() {
+		st.mu.Lock()
+		st.cond.Broadcast()
+		st.mu.Unlock()
+	})
+	defer stop()
 	st.mu.Lock()
-	if !st.done {
-		st.done = true
-		st.errMsg = errMsg
+	defer st.mu.Unlock()
+	for st.seq == seq && !st.done && ctx.Err() == nil {
+		st.cond.Wait()
 	}
-	st.mu.Unlock()
-	st.cond.Broadcast()
-}
-
-// finishResumable is finish for interrupted-but-journaled sweeps: the
-// trailer additionally carries "resumable":true, telling clients a
-// re-POST (with ?from= for exact tokens) will pick up where the sweep
-// stopped.
-func (st *sweepState) finishResumable(errMsg string) {
-	st.mu.Lock()
-	if !st.done {
-		st.done = true
-		st.errMsg = errMsg
-		st.resumable = true
-	}
-	st.mu.Unlock()
-	st.cond.Broadcast()
+	return st.seq, st.done, ctx.Err() == nil
 }
 
 // trailer is the final NDJSON object of a sweep stream. Its "done"
 // field distinguishes it from cell records (which carry "key").
-// NextFrom is an exact resume token on journal-backed streams (?from=
-// requests); on fan-out streams it is -1, because their completion-
-// order lines do not map to journal indexes — resume those with
-// ?from=0 (the journal replay dedups nothing, but restored cells cost
-// no re-execution) or with the count of distinct records held.
+// NextFrom is the journal index after the last record the stream sent:
+// re-POST with ?from=<next_from> to continue exactly there.
 type trailer struct {
 	Done        bool   `json:"done"`
 	Fingerprint string `json:"fingerprint"`
@@ -928,92 +948,4 @@ type trailer struct {
 	Error       string `json:"error,omitempty"`
 	Resumable   bool   `json:"resumable,omitempty"`
 	NextFrom    int    `json:"next_from"`
-}
-
-// stream writes the sweep to w as NDJSON: the cells already known at
-// attach time first (Predicted ones leading — the cheap, model-
-// answered majority of a guided sweep), then live cells in completion
-// order, then the trailer. Returns when the sweep finishes, the
-// client disconnects, or ctx is canceled.
-func (st *sweepState) stream(ctx interface{ Done() <-chan struct{} }, w io.Writer) {
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	// Wake the cond waiter when the client goes away.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			st.cond.Broadcast()
-		case <-stop:
-		}
-	}()
-	canceled := func() bool {
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
-
-	st.mu.Lock()
-	snapshot := append([]recLine(nil), st.lines...)
-	st.mu.Unlock()
-	sort.SliceStable(snapshot, func(i, j int) bool {
-		return snapshot[i].predicted && !snapshot[j].predicted
-	})
-	streamed := 0
-	for _, l := range snapshot {
-		if _, err := fmt.Fprintf(w, "%s\n", l.data); err != nil {
-			return
-		}
-		streamed++
-	}
-	flush()
-
-	next := len(snapshot)
-	for {
-		st.mu.Lock()
-		for next >= len(st.lines) && !st.done && !canceled() {
-			st.cond.Wait()
-		}
-		batch := append([]recLine(nil), st.lines[next:]...)
-		done, errMsg, resumable := st.done, st.errMsg, st.resumable
-		st.mu.Unlock()
-
-		for _, l := range batch {
-			if _, err := fmt.Fprintf(w, "%s\n", l.data); err != nil {
-				return
-			}
-			streamed++
-			next++
-		}
-		if len(batch) > 0 {
-			flush()
-		}
-		if canceled() {
-			return
-		}
-		if done {
-			tr := trailer{
-				Done:        true,
-				Fingerprint: st.fp,
-				Cells:       st.cells,
-				Streamed:    streamed,
-				Complete:    errMsg == "" && streamed >= st.cells,
-				Error:       errMsg,
-				Resumable:   resumable,
-				NextFrom:    -1,
-			}
-			line, _ := json.Marshal(tr)
-			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-				return
-			}
-			flush()
-			return
-		}
-	}
 }

@@ -1,15 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"capscale/internal/obs"
+	"capscale/internal/store"
 	"capscale/internal/workload"
 )
 
@@ -170,6 +170,174 @@ func TestSweepStreamAndReplay(t *testing.T) {
 	}
 }
 
+// TestCompleteTrailerImpliesStored pins the trailer contract: the
+// moment a "complete":true trailer arrives — with the POST still open —
+// the sweep is no longer active and GET /v1/result/{fp} answers 200
+// with exactly the records the POST streamed.
+func TestCompleteTrailerImpliesStored(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	body, _ := json.Marshal(smokeRequest())
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	var records []byte
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("stream ended without a trailer: %v", err)
+		}
+		var tr trailer
+		if err := json.Unmarshal(line, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Done {
+			records = append(records, line...)
+			continue
+		}
+		if !tr.Complete {
+			t.Fatalf("trailer %+v, want complete", tr)
+		}
+		status, got := getResult(t, ts, tr.Fingerprint, "")
+		if status != http.StatusOK {
+			t.Fatalf("GET right after the complete trailer: status %d: %s", status, got)
+		}
+		if !bytes.Equal(got, records) {
+			t.Fatalf("GET body differs from the streamed records:\n got %s\nwant %s", got, records)
+		}
+		sresp, err := http.Get(ts.URL + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc statusJSON
+		err = json.NewDecoder(sresp.Body).Decode(&doc)
+		sresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.ActiveSweeps != 0 {
+			t.Fatalf("active_sweeps = %d right after the complete trailer, want 0", doc.ActiveSweeps)
+		}
+		if tr.NextFrom != tr.Cells {
+			t.Fatalf("complete trailer next_from = %d, want %d", tr.NextFrom, tr.Cells)
+		}
+		return
+	}
+}
+
+// holdFS is the real filesystem with the first record append to a
+// sweep journal held: the write signals held, then blocks until
+// release is closed.
+type holdFS struct {
+	store.FS
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *holdFS) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
+	f, err := h.FS.OpenFile(name, flag, perm)
+	if err != nil || flag&os.O_WRONLY == 0 || !strings.Contains(name, store.Ext+".tmp-") {
+		return f, err
+	}
+	return &holdFile{File: f, fs: h}, nil
+}
+
+type holdFile struct {
+	store.File
+	fs     *holdFS
+	writes int
+}
+
+func (f *holdFile) Write(p []byte) (int, error) {
+	if f.writes++; f.writes == 2 { // write 1 is the header
+		f.fs.once.Do(func() {
+			close(f.fs.held)
+			<-f.fs.release
+		})
+	}
+	return f.File.Write(p)
+}
+
+// TestResultWaitsForInFlightSweep: a GET of a sweep this replica is
+// executing waits for the sweep to end and then answers 200 with every
+// record, instead of refusing with 409. The executor is held inside
+// its first journal append, so the GET provably arrives mid-sweep.
+func TestResultWaitsForInFlightSweep(t *testing.T) {
+	hold := &holdFS{FS: store.OS(), held: make(chan struct{}), release: make(chan struct{})}
+	_, ts := testServer(t, Config{FS: hold, Parallelism: 1})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold.release) }) }
+	t.Cleanup(release) // a failed run must not leave the executor held
+	req := smokeRequest()
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, cells := cfg.Fingerprint(), cfg.CellCount()
+
+	// The requests run on their own goroutines and report back here,
+	// where the test may fail.
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	fetch := func(resp *http.Response, err error) result {
+		if err != nil {
+			return result{err: err}
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return result{resp.StatusCode, body, err}
+	}
+	reqBody, _ := json.Marshal(req)
+	posted := make(chan result, 1)
+	go func() {
+		posted <- fetch(http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(reqBody)))
+	}()
+	select {
+	case <-hold.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sweep never reached its first journal append")
+	}
+
+	waited := obs.GetCounter("serve.results.waited")
+	waited0 := waited.Value()
+	got := make(chan result, 1)
+	go func() { got <- fetch(http.Get(ts.URL + "/v1/result/" + fp)) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for waited.Value() == waited0 {
+		if time.Now().After(deadline) {
+			t.Fatal("GET never waited on the executing sweep")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case r := <-got:
+		t.Fatalf("GET answered %d while the sweep was held mid-append", r.status)
+	default:
+	}
+	release()
+
+	r, p := <-got, <-posted
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("GET: status %d, err %v: %s", r.status, r.err, r.body)
+	}
+	if p.err != nil || p.status != http.StatusOK {
+		t.Fatalf("POST: status %d, err %v: %s", p.status, p.err, p.body)
+	}
+	// The POST body is the records plus a trailer line.
+	records := p.body[:bytes.LastIndexByte(p.body[:len(p.body)-1], '\n')+1]
+	if n := bytes.Count(records, []byte("\n")); n != cells {
+		t.Fatalf("POST streamed %d records, want %d", n, cells)
+	}
+	if !bytes.Equal(r.body, records) {
+		t.Fatalf("GET body differs from the POST's records:\n got %s\nwant %s", r.body, records)
+	}
+}
+
 // TestConcurrentSweepsSingleFlight is the acceptance test: N clients
 // POST the identical sweep concurrently; every client receives every
 // cell record, yet each cell executes exactly once across the whole
@@ -212,9 +380,10 @@ func TestConcurrentSweepsSingleFlight(t *testing.T) {
 		t.Fatalf("%d concurrent identical sweeps executed %d cells, want %d (each cell exactly once)", clients, d, cells)
 	}
 
-	// A later identical POST resumes entirely from the store: zero new
-	// executions, full result.
+	// A later identical POST is served entirely from the store: zero
+	// new executions, full result — and no executor started at all.
 	delta2 := executedDelta()
+	started := mStarted.Value()
 	records, tr, status := postSweep(t, ts, req, "late")
 	if status != http.StatusOK || len(records) != cells || !tr.Complete {
 		t.Fatalf("resume POST: status %d, %d records, complete=%v", status, len(records), tr.Complete)
@@ -222,51 +391,8 @@ func TestConcurrentSweepsSingleFlight(t *testing.T) {
 	if d := delta2(); d != 0 {
 		t.Fatalf("resumed sweep re-executed %d cells, want 0", d)
 	}
-}
-
-// TestAttachStreamsKnownCellsFirst pins the attach path at the
-// fan-out layer: a subscriber joining mid-sweep first receives the
-// already-known lines with Predicted cells leading, then live lines,
-// then the trailer.
-func TestAttachStreamsKnownCellsFirst(t *testing.T) {
-	st := newSweepState("00000000000000ab", 4)
-	st.append([]byte(`{"key":"measured-1"}`), false)
-	st.append([]byte(`{"key":"predicted-1"}`), true)
-	st.append([]byte(`{"key":"predicted-2"}`), true)
-
-	var buf bytes.Buffer
-	done := make(chan struct{})
-	go func() {
-		st.stream(context.Background(), &buf)
-		close(done)
-	}()
-	// The live phase appends one more cell, then the sweep finishes.
-	time.Sleep(10 * time.Millisecond)
-	st.append([]byte(`{"key":"measured-2"}`), false)
-	st.finish("")
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream did not terminate")
-	}
-
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	keys := make([]string, 0, len(lines))
-	for _, l := range lines {
-		var probe struct {
-			Key  string `json:"key"`
-			Done bool   `json:"done"`
-		}
-		if err := json.Unmarshal([]byte(l), &probe); err != nil {
-			t.Fatal(err)
-		}
-		if !probe.Done {
-			keys = append(keys, probe.Key)
-		}
-	}
-	want := []string{"predicted-1", "predicted-2", "measured-1", "measured-2"}
-	if strings.Join(keys, ",") != strings.Join(want, ",") {
-		t.Fatalf("stream order %v, want %v (predicted first, then live)", keys, want)
+	if n := mStarted.Value() - started; n != 0 {
+		t.Fatalf("POST of a fully stored sweep started %d executors, want 0", n)
 	}
 }
 
@@ -283,7 +409,7 @@ func TestAttachDoesNotExecute(t *testing.T) {
 	fp := cfg.Fingerprint()
 
 	// Plant an in-flight sweep so the POST below must attach.
-	st := newSweepState(fp, cfg.CellCount())
+	st := newSweepState(fp)
 	srv.mu.Lock()
 	srv.sweeps[fp] = st
 	srv.active = srv.cfg.MaxActiveSweeps
@@ -302,7 +428,8 @@ func TestAttachDoesNotExecute(t *testing.T) {
 		resc <- result{records, tr, status}
 	}()
 
-	// Wait for the subscriber, then feed the planted sweep.
+	// Wait for the subscriber, then journal the planted sweep's one
+	// cell and end it.
 	deadline := time.Now().Add(5 * time.Second)
 	for obs.GetCounter("serve.sweeps.attached").Value() == attached0 {
 		if time.Now().After(deadline) {
@@ -310,8 +437,15 @@ func TestAttachDoesNotExecute(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st.append([]byte(`{"key":"planted"}`), false)
-	st.finish("")
+	header, _ := json.Marshal(store.Header{Version: workload.JournalVersion, Fingerprint: fp})
+	j, err := store.CreateJournal(nil, srv.store.Path(fp), header, [][]byte{[]byte(`{"key":"planted"}`)}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.finish("", false)
 
 	res := <-resc
 	if res.status != http.StatusOK || len(res.records) != 1 || string(res.records[0]) != `{"key":"planted"}` {
@@ -511,29 +645,5 @@ func TestStatusAndVars(t *testing.T) {
 		if !strings.Contains(string(vars), key) {
 			t.Errorf("/debug/vars misses %s", key)
 		}
-	}
-}
-
-// TestStoreFingerprints: only well-formed journal names are listed.
-func TestStoreFingerprints(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"0123456789abcdef" + storeExt, // valid
-		"fedcba9876543210" + storeExt, // valid
-		"README.md",                   // foreign file
-		"short" + storeExt,            // malformed fingerprint
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := st.Fingerprints()
-	want := []string{"0123456789abcdef", "fedcba9876543210"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Fingerprints() = %v, want %v", got, want)
 	}
 }

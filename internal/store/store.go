@@ -36,9 +36,6 @@ func Open(dir string, fsys FS) (*Store, error) {
 	return &Store{dir: dir, fsys: fsys}, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // FS returns the filesystem the store operates through.
 func (s *Store) FS() FS { return s.fsys }
 
@@ -57,31 +54,17 @@ func (s *Store) Has(fp string) bool {
 // Fingerprints lists the stored fingerprints in sorted order. Lease
 // files, request sidecars, quarantined journals and temp debris all
 // carry different suffixes and are excluded.
-func (s *Store) Fingerprints() ([]string, error) {
-	entries, err := s.fsys.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var fps []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name, ok := strings.CutSuffix(e.Name(), Ext)
-		if !ok || !ValidFingerprint(name) {
-			continue
-		}
-		fps = append(fps, name)
-	}
-	sort.Strings(fps)
-	return fps, nil
-}
+func (s *Store) Fingerprints() ([]string, error) { return s.list(Ext) }
 
 // RequestFingerprints lists the fingerprints with a saved request
 // sidecar, sorted — including ones whose journal does not exist yet (a
 // crash can land between the sidecar save and the journal's first
 // rename; recovery restarts those sweeps from the sidecar alone).
-func (s *Store) RequestFingerprints() ([]string, error) {
+func (s *Store) RequestFingerprints() ([]string, error) { return s.list(reqExt) }
+
+// list returns the sorted fingerprints of the files named
+// <fingerprint><ext>.
+func (s *Store) list(ext string) ([]string, error) {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
@@ -91,7 +74,7 @@ func (s *Store) RequestFingerprints() ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		name, ok := strings.CutSuffix(e.Name(), reqExt)
+		name, ok := strings.CutSuffix(e.Name(), ext)
 		if !ok || !ValidFingerprint(name) {
 			continue
 		}

@@ -64,8 +64,10 @@ import (
 // I/O goes through Config.FS (nil = the real filesystem), which is how
 // the crash and torn-write tests drive these paths.
 
-// ckVersion guards the journal layout.
-const ckVersion = 1
+// JournalVersion is the journal layout version every header carries;
+// readers outside this package (the sweep server's journal tail)
+// check it before trusting a journal's records.
+const JournalVersion = 1
 
 type ckRecord struct {
 	Key   string       `json:"key"`
@@ -248,7 +250,7 @@ func openCheckpoint(cfg Config) (*checkpoint, map[string]Run, error) {
 	keys, restored := loadCheckpoint(fsys, cfg, fp)
 
 	ck := &checkpoint{path: cfg.CheckpointPath, keep: cfg.RecordTraces, lease: lease, ownLease: ownLease}
-	hdr, err := json.Marshal(store.Header{Version: ckVersion, Fingerprint: fp})
+	hdr, err := json.Marshal(store.Header{Version: JournalVersion, Fingerprint: fp})
 	if err != nil {
 		return nil, nil, fmt.Errorf("workload: checkpoint: %w", err)
 	}
@@ -290,7 +292,7 @@ func loadCheckpoint(fsys store.FS, cfg Config, fingerprint string) ([]string, ma
 	if err != nil || !sc.HeaderOK {
 		return nil, nil
 	}
-	if sc.Header.Version != ckVersion || sc.Header.Fingerprint != fingerprint {
+	if sc.Header.Version != JournalVersion || sc.Header.Fingerprint != fingerprint {
 		return nil, nil
 	}
 	if sc.Oversized > 0 {
@@ -456,54 +458,6 @@ func SalvageJournal(fsys store.FS, path string) (bool, error) {
 	return store.SalvageJournal(store.Resolve(fsys), path, ckMaxRecordBytes)
 }
 
-// JournalSnapshot is one consistent read of a sweep journal: the raw
-// record lines (replay bytes), their cell keys in journal order, and
-// the distinct-cell count — what a read-only follower needs to stream
-// a journal another replica is executing.
-type JournalSnapshot struct {
-	Fingerprint string
-	Records     [][]byte
-	Keys        []string
-	Unique      int
-	Torn        bool
-}
-
-// SnapshotJournal scans the journal at path through fsys. A missing
-// file yields an empty snapshot, not an error; a torn tail yields the
-// intact prefix with Torn set.
-func SnapshotJournal(fsys store.FS, path string) (*JournalSnapshot, error) {
-	sc, err := store.ScanJournal(store.Resolve(fsys), path, ckMaxRecordBytes)
-	if err != nil {
-		if store.IsNotExist(err) {
-			return &JournalSnapshot{}, nil
-		}
-		return nil, err
-	}
-	if !sc.HeaderOK || sc.Header.Version != ckVersion {
-		return &JournalSnapshot{Torn: sc.Torn}, nil
-	}
-	snap := &JournalSnapshot{
-		Fingerprint: sc.Header.Fingerprint,
-		Records:     sc.Records,
-		Keys:        make([]string, len(sc.Records)),
-		Torn:        sc.Torn,
-	}
-	seen := make(map[string]bool, len(sc.Records))
-	for i, line := range sc.Records {
-		var rec struct {
-			Key string `json:"key"`
-		}
-		if json.Unmarshal(line, &rec) == nil {
-			snap.Keys[i] = rec.Key
-			if rec.Key != "" && !seen[rec.Key] {
-				seen[rec.Key] = true
-				snap.Unique++
-			}
-		}
-	}
-	return snap, nil
-}
-
 // ReplayJournal streams the record lines of a checkpoint/result
 // journal verbatim to w (header validated and skipped) and returns
 // how many records it wrote. Callers get the exact bytes record
@@ -511,12 +465,7 @@ func SnapshotJournal(fsys store.FS, path string) (*JournalSnapshot, error) {
 // the replay silently, matching loadCheckpoint; oversized records are
 // skipped with a count.
 func ReplayJournal(path string, w io.Writer) (int, error) {
-	return ReplayJournalFS(nil, path, w)
-}
-
-// ReplayJournalFS is ReplayJournal through an injectable filesystem.
-func ReplayJournalFS(fsys store.FS, path string, w io.Writer) (int, error) {
-	records, oversized, err := store.ReplayJournal(store.Resolve(fsys), path, ckVersion, ckMaxRecordBytes, w)
+	records, oversized, err := store.ReplayJournal(nil, path, JournalVersion, ckMaxRecordBytes, w)
 	if oversized > 0 {
 		ckOversized.Add(int64(oversized))
 	}

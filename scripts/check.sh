@@ -45,6 +45,12 @@ go test -race ./internal/mpi/... ./internal/dmm/... ./internal/cluster/...
 # store it persists to: journals, leases and lock files are mutated by
 # racing replicas by design.
 go test -race ./internal/serve/... ./internal/store/...
+# The trailer contract under stress: a client acting on a
+# "complete":true trailer must find the sweep stored and inactive, on
+# one core and on two. An ordering race between the trailer and the
+# executor's unregistering fails this line long before it fails a
+# single run.
+go test -run 'TestCompleteTrailerImpliesStored|TestSweepStreamAndReplay|TestStatusAndVars' -count=50 -cpu 1,2 ./internal/serve/
 # The event-driven simulator core: concurrent Runs must be race-free
 # (-short skips the 48-cell bit-identicality pin, which the plain
 # `go test ./...` line above already ran in full).
